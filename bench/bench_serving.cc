@@ -13,7 +13,8 @@
 // logits_crc that must match the baseline bit-for-bit, and the delta
 // stream's total recomputation count is an exact function of the
 // seeded schedule. Host-speed-dependent numbers (QPS, p50/p99) are
-// gated only through ratios and generous timing tolerances.
+// gated only through ratios (p99_over_serial) and generous timing
+// tolerances. Baseline comparison is tools/report_diff's job.
 //
 // The run FAILS — not just reports — when an invariant breaks: served
 // logits diverging from a from-scratch reference pass on the final
@@ -24,11 +25,6 @@
 //   bench_serving                  full sweep, writes BENCH_serving.json
 //   bench_serving --quick          CI smoke: same rows, fewer queries
 //   bench_serving --out=PATH       write the JSON elsewhere
-//   bench_serving --check=PATH     diff against a baseline JSON; exits 1 on
-//                                  timing regression past --check-tolerance,
-//                                  a p99_over_serial blowup past
-//                                  --ratio-tolerance, cone drift, or a
-//                                  logits_crc mismatch
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -124,87 +120,6 @@ void WriteJson(const std::string& path,
   std::printf("\nwrote %zu records to %s\n", records.size(), path.c_str());
 }
 
-std::string ExtractString(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  return end == std::string::npos ? "" : line.substr(begin, end - begin);
-}
-
-double ExtractNumber(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return 0.0;
-  return std::strtod(line.c_str() + at + needle.size(), nullptr);
-}
-
-int CheckAgainstBaseline(const std::vector<BenchRecord>& records,
-                         std::uint64_t logits_crc, double p99_over_serial,
-                         const std::string& path, double tolerance,
-                         double ratio_tolerance) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_serving: cannot read baseline %s\n",
-                 path.c_str());
-    return 1;
-  }
-  int compared = 0;
-  int regressions = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string baseline_crc = ExtractString(line, "logits_crc");
-    if (!baseline_crc.empty() &&
-        baseline_crc != std::to_string(logits_crc)) {
-      ++regressions;
-      std::printf("CHECKSUM MISMATCH: served logits %llu vs baseline %s — "
-                  "the serving path changed the bits\n",
-                  static_cast<unsigned long long>(logits_crc),
-                  baseline_crc.c_str());
-    }
-    // Host-speed-invariant tail gate: batching overhead relative to
-    // the serial floor, not absolute microseconds.
-    if (line.find("\"p99_over_serial\"") != std::string::npos) {
-      const double baseline_ratio = ExtractNumber(line, "p99_over_serial");
-      if (baseline_ratio > 0.0 &&
-          p99_over_serial > baseline_ratio * (1.0 + ratio_tolerance)) {
-        ++regressions;
-        std::printf("TAIL GATE: p99_over_serial %.2f vs baseline %.2f "
-                    "(tolerance %.0f%%)\n",
-                    p99_over_serial, baseline_ratio,
-                    ratio_tolerance * 100.0);
-      }
-    }
-    const std::string op = ExtractString(line, "op");
-    if (op.empty()) continue;
-    for (const BenchRecord& r : records) {
-      if (r.op != op) continue;
-      ++compared;
-      const std::int64_t baseline_recomputed =
-          static_cast<std::int64_t>(ExtractNumber(line, "recomputed"));
-      if (baseline_recomputed != r.recomputed) {
-        ++regressions;
-        std::printf("CONE DRIFT %s: recomputed %lld vs baseline %lld\n",
-                    op.c_str(), static_cast<long long>(r.recomputed),
-                    static_cast<long long>(baseline_recomputed));
-      }
-      const double baseline_seconds = ExtractNumber(line, "seconds_per_iter");
-      if (baseline_seconds > 0.0 &&
-          r.seconds_per_iter > baseline_seconds * (1.0 + tolerance)) {
-        ++regressions;
-        std::printf("REGRESSION %s: p50 %.3f ms vs baseline %.3f ms "
-                    "(tolerance %.0f%%)\n",
-                    op.c_str(), r.seconds_per_iter * 1e3,
-                    baseline_seconds * 1e3, tolerance * 100.0);
-      }
-    }
-  }
-  std::printf("baseline check: %d rows compared, %d regressions\n", compared,
-              regressions);
-  return regressions == 0 ? 0 : 1;
-}
-
 int Main(int argc, const char* const argv[]) {
   const Result<FlagParser> flags = FlagParser::Parse(argc, argv);
   if (!flags.ok()) {
@@ -213,9 +128,6 @@ int Main(int argc, const char* const argv[]) {
   }
   const bool quick = flags->GetBool("quick", false);
   const std::string out_path = flags->GetString("out", "BENCH_serving.json");
-  const std::string check_path = flags->GetString("check", "");
-  const double tolerance = flags->GetDouble("check-tolerance", 0.5);
-  const double ratio_tolerance = flags->GetDouble("ratio-tolerance", 1.0);
   const std::int64_t num_threads = flags->GetInt("threads", 4);
   const std::int64_t serial_queries = quick ? 200 : 1000;
   const std::int64_t queries_per_thread = quick ? 300 : 2000;
@@ -431,10 +343,6 @@ int Main(int argc, const char* const argv[]) {
     std::fprintf(stderr, "bench_serving: %d invariant violation(s)\n",
                  failures);
     return 1;
-  }
-  if (!check_path.empty()) {
-    return CheckAgainstBaseline(records, logits_crc, p99_over_serial,
-                                check_path, tolerance, ratio_tolerance);
   }
   return 0;
 }

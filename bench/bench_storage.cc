@@ -1,5 +1,5 @@
 // Out-of-core storage benchmark and regression harness: packs a
-// synthetic graph into a shard directory, then times the four access
+// synthetic graph into a shard directory, then times the access
 // patterns the streaming inference path is built from and writes
 // BENCH_storage.json — one record per mode with MB/s over the pack.
 //
@@ -8,9 +8,6 @@
 //   streamed          sequential partition sweep under a BINDING budget
 //                     (the pack minus its smallest shard), touching every
 //                     feature byte — the MapReduce map stage's access shape
-//   prefetched        the same sweep with Prefetch(p+1) overlapping I/O
-//                     (the legacy fire-and-forget scheme, kept as a row so
-//                     the pipeline's win over it stays visible)
 //   pipelined         the same sweep through a ShardPipeline: a dedicated
 //                     loader thread double-buffers shard I/O behind the
 //                     checksum compute
@@ -20,17 +17,15 @@
 // Every mode folds the bytes it touches into a deterministic
 // gather_checksum (seeded dataset + hash partitioning = host-stable),
 // and the run FAILS — not just reports — when an invariant breaks:
-// peak mapped bytes over budget, zero prefetch hits, nothing pinned,
-// or any checksum failure. The JSON also records which read-path tier
-// (io_uring / O_DIRECT / pread / mmap) auto-detection picked.
+// peak mapped bytes over budget, nothing pinned, or any checksum
+// failure. Shards load through the store's single mmap loader.
+// Baseline comparison is tools/report_diff's job (gather_checksum is
+// exact-class there).
 //
 // Usage:
 //   bench_storage                     full sweep, writes BENCH_storage.json
 //   bench_storage --quick             CI smoke: same dataset shape, short timing
 //   bench_storage --out=PATH          write the JSON elsewhere
-//   bench_storage --check=PATH        diff against a baseline JSON; exits 1 on
-//                                     timing regression past --check-tolerance
-//                                     or a gather_checksum mismatch
 //   bench_storage --overlap-gate      exit 1 unless the pipelined sweep is at
 //                                     least as fast as the streamed sweep
 //                                     (minus --overlap-tolerance slack)
@@ -45,13 +40,11 @@
 
 #include "src/common/crc32.h"
 #include "src/common/flags.h"
-#include "src/common/thread_pool.h"
 #include "src/common/timer.h"
 #include "src/graph/datasets.h"
 #include "src/storage/graph_view.h"
 #include "src/storage/shard_format.h"
 #include "src/storage/shard_pipeline.h"
-#include "src/storage/shard_reader.h"
 #include "src/storage/shard_store.h"
 #include "src/storage/shard_writer.h"
 
@@ -117,10 +110,9 @@ std::uint64_t ChecksumSlice(const PartitionSlice& slice,
   return acc;
 }
 
-std::uint64_t SweepView(const GraphView& view, bool prefetch) {
+std::uint64_t SweepView(const GraphView& view) {
   std::uint64_t acc = 0;
   for (std::int64_t p = 0; p < view.num_partitions(); ++p) {
-    if (prefetch) view.PrefetchPartition(p + 1);
     const Result<PartitionSlice> slice = view.AcquirePartition(p);
     if (!slice.ok()) {
       std::fprintf(stderr, "bench_storage: %s\n",
@@ -153,12 +145,10 @@ std::uint64_t SweepPipelined(const GraphView& view, int slots) {
 
 ShardStoreOptions StoreOptions(const std::string& dir,
                                std::uint64_t budget,
-                               ThreadPool* pool,
                                std::uint64_t pinned_budget = 0) {
   ShardStoreOptions options;
   options.directory = dir;
   options.memory_budget_bytes = budget;
-  options.prefetch_pool = pool;
   options.pinned_budget_bytes = pinned_budget;
   return options;
 }
@@ -175,8 +165,7 @@ ShardStore MustOpen(ShardStoreOptions options) {
 
 void WriteJson(const std::string& path,
                const std::vector<BenchRecord>& records, bool quick,
-               std::uint64_t gather_checksum, std::uint64_t budget,
-               ShardReadPath read_path) {
+               std::uint64_t gather_checksum, std::uint64_t budget) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "bench_storage: cannot write %s\n", path.c_str());
@@ -187,7 +176,6 @@ void WriteJson(const std::string& path,
   out << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n";
   out << "  \"gather_checksum\": \"" << gather_checksum << "\",\n";
   out << "  \"memory_budget_bytes\": " << budget << ",\n";
-  out << "  \"read_path\": \"" << ShardReadPathName(read_path) << "\",\n";
   out << "  \"results\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
@@ -206,69 +194,6 @@ void WriteJson(const std::string& path,
   std::printf("\nwrote %zu records to %s\n", records.size(), path.c_str());
 }
 
-// Minimal extraction for the exact one-record-per-line format WriteJson
-// emits — enough for --check without a JSON dependency.
-std::string ExtractString(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  return end == std::string::npos ? "" : line.substr(begin, end - begin);
-}
-
-double ExtractNumber(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return 0.0;
-  return std::strtod(line.c_str() + at + needle.size(), nullptr);
-}
-
-int CheckAgainstBaseline(const std::vector<BenchRecord>& records,
-                         std::uint64_t gather_checksum,
-                         const std::string& path, double tolerance) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_storage: cannot read baseline %s\n",
-                 path.c_str());
-    return 1;
-  }
-  int compared = 0;
-  int regressions = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string baseline_checksum =
-        ExtractString(line, "gather_checksum");
-    if (!baseline_checksum.empty() &&
-        baseline_checksum != std::to_string(gather_checksum)) {
-      std::printf("CHECKSUM MISMATCH: %s vs baseline %s — the streamed "
-                  "bytes differ from the baseline run\n",
-                  std::to_string(gather_checksum).c_str(),
-                  baseline_checksum.c_str());
-      ++regressions;
-    }
-    const std::string op = ExtractString(line, "op");
-    if (op.empty()) continue;
-    for (const BenchRecord& r : records) {
-      if (r.mode != op || r.shape != ExtractString(line, "shape")) continue;
-      ++compared;
-      const double baseline = ExtractNumber(line, "seconds_per_iter");
-      if (baseline > 0.0 &&
-          r.seconds_per_iter > baseline * (1.0 + tolerance)) {
-        ++regressions;
-        std::printf("REGRESSION %s %s: %.3f ms/iter vs baseline %.3f "
-                    "ms/iter (tolerance %.0f%%)\n",
-                    r.mode.c_str(), r.shape.c_str(),
-                    r.seconds_per_iter * 1e3, baseline * 1e3,
-                    tolerance * 100.0);
-      }
-    }
-  }
-  std::printf("baseline check: %d rows compared, %d regressions\n", compared,
-              regressions);
-  return regressions == 0 ? 0 : 1;
-}
-
 int Main(int argc, const char* const argv[]) {
   const Result<FlagParser> flags = FlagParser::Parse(argc, argv);
   if (!flags.ok()) {
@@ -278,8 +203,6 @@ int Main(int argc, const char* const argv[]) {
   const bool quick = flags->GetBool("quick", false);
   const std::string out_path =
       flags->GetString("out", "BENCH_storage.json");
-  const std::string check_path = flags->GetString("check", "");
-  const double tolerance = flags->GetDouble("check-tolerance", 0.5);
   const bool overlap_gate = flags->GetBool("overlap-gate", false);
   const double overlap_tolerance =
       flags->GetDouble("overlap-tolerance", 0.10);
@@ -340,7 +263,6 @@ int Main(int argc, const char* const argv[]) {
 
   std::vector<BenchRecord> records;
   std::uint64_t gather_checksum = 0;
-  ShardReadPath read_path = ShardReadPath::kMmap;
   int failures = 0;
   const auto record = [&](const std::string& mode, double seconds,
                           std::uint64_t peak) {
@@ -355,25 +277,32 @@ int Main(int argc, const char* const argv[]) {
                 mode.c_str(), shape.c_str(), seconds * 1e3, r.mb_per_s,
                 static_cast<double>(peak) / (1024.0 * 1024.0));
   };
+  const auto check_peak = [&](std::uint64_t peak) {
+    if (peak <= budget) return;
+    std::fprintf(stderr,
+                 "INVARIANT: peak %llu exceeds the %llu-byte budget\n",
+                 static_cast<unsigned long long>(peak),
+                 static_cast<unsigned long long>(budget));
+    ++failures;
+  };
 
   {  // cold: open + demand-load the whole pack every iteration
     std::uint64_t peak = 0;
     const double seconds = TimeIt(timing, [&] {
-      ShardStore store = MustOpen(StoreOptions(dir, 0, nullptr));
+      ShardStore store = MustOpen(StoreOptions(dir, 0));
       const ShardGraphView view(std::move(store));
-      g_sink = g_sink + SweepView(view, /*prefetch=*/false);
+      g_sink = g_sink + SweepView(view);
       peak = view.storage_metrics().peak_bytes_mapped;
     });
     record("cold", seconds, peak);
   }
 
   {  // warm: one store, every Map a cache hit
-    ShardStore store = MustOpen(StoreOptions(dir, 0, nullptr));
-    read_path = store.read_path();
+    ShardStore store = MustOpen(StoreOptions(dir, 0));
     const ShardGraphView view(std::move(store));
-    gather_checksum = SweepView(view, /*prefetch=*/false);  // fill
-    const double seconds = TimeIt(
-        timing, [&] { g_sink = g_sink + SweepView(view, false); });
+    gather_checksum = SweepView(view);  // fill
+    const double seconds =
+        TimeIt(timing, [&] { g_sink = g_sink + SweepView(view); });
     const StorageMetrics metrics = view.storage_metrics();
     record("warm", seconds, metrics.peak_bytes_mapped);
     if (metrics.checksum_failures != 0) {
@@ -386,9 +315,9 @@ int Main(int argc, const char* const argv[]) {
   {  // streamed: sequential sweep under the binding budget
     std::uint64_t peak = 0;
     const double seconds = TimeIt(timing, [&] {
-      ShardStore store = MustOpen(StoreOptions(dir, budget, nullptr));
+      ShardStore store = MustOpen(StoreOptions(dir, budget));
       const ShardGraphView view(std::move(store));
-      const std::uint64_t acc = SweepView(view, /*prefetch=*/false);
+      const std::uint64_t acc = SweepView(view);
       g_sink = g_sink + acc;
       if (acc != gather_checksum) {
         std::fprintf(stderr, "INVARIANT: streamed checksum diverged\n");
@@ -397,51 +326,14 @@ int Main(int argc, const char* const argv[]) {
       peak = view.storage_metrics().peak_bytes_mapped;
     });
     record("streamed", seconds, peak);
-    if (peak > budget) {
-      std::fprintf(stderr,
-                   "INVARIANT: peak %llu exceeds the %llu-byte budget\n",
-                   static_cast<unsigned long long>(peak),
-                   static_cast<unsigned long long>(budget));
-      ++failures;
-    }
-  }
-
-  {  // prefetched: the same sweep with Prefetch(p+1) overlapping I/O
-    ThreadPool pool(2);
-    std::uint64_t peak = 0;
-    std::int64_t prefetch_hits = 0;
-    const double seconds = TimeIt(timing, [&] {
-      ShardStore store = MustOpen(StoreOptions(dir, budget, &pool));
-      const ShardGraphView view(std::move(store));
-      const std::uint64_t acc = SweepView(view, /*prefetch=*/true);
-      g_sink = g_sink + acc;
-      if (acc != gather_checksum) {
-        std::fprintf(stderr, "INVARIANT: prefetched checksum diverged\n");
-        ++failures;
-      }
-      const StorageMetrics metrics = view.storage_metrics();
-      peak = metrics.peak_bytes_mapped;
-      prefetch_hits += metrics.prefetch_hits;
-    });
-    record("prefetched", seconds, peak);
-    if (peak > budget) {
-      std::fprintf(stderr,
-                   "INVARIANT: peak %llu exceeds the %llu-byte budget\n",
-                   static_cast<unsigned long long>(peak),
-                   static_cast<unsigned long long>(budget));
-      ++failures;
-    }
-    if (prefetch_hits == 0) {
-      std::fprintf(stderr, "INVARIANT: no prefetch hit across any run\n");
-      ++failures;
-    }
+    check_peak(peak);
   }
 
   {  // pipelined: the sweep with a dedicated loader thread overlapping
      // shard I/O for p+1 behind the checksum compute on p
     std::uint64_t peak = 0;
     const double seconds = TimeIt(timing, [&] {
-      ShardStore store = MustOpen(StoreOptions(dir, budget, nullptr));
+      ShardStore store = MustOpen(StoreOptions(dir, budget));
       const ShardGraphView view(std::move(store));
       const std::uint64_t acc = SweepPipelined(view, /*slots=*/2);
       g_sink = g_sink + acc;
@@ -452,19 +344,13 @@ int Main(int argc, const char* const argv[]) {
       peak = view.storage_metrics().peak_bytes_mapped;
     });
     record("pipelined", seconds, peak);
-    if (peak > budget) {
-      std::fprintf(stderr,
-                   "INVARIANT: peak %llu exceeds the %llu-byte budget\n",
-                   static_cast<unsigned long long>(peak),
-                   static_cast<unsigned long long>(budget));
-      ++failures;
-    }
+    check_peak(peak);
   }
 
   {  // pipelined_pinned: persistent store, hub hot-set pinned resident
      // under half the budget, cold shards cycling through the rest
     ShardStore store =
-        MustOpen(StoreOptions(dir, budget, nullptr, budget / 2));
+        MustOpen(StoreOptions(dir, budget, budget / 2));
     const ShardGraphView view(std::move(store));
     const Result<std::int64_t> pinned = view.PinHotSet(/*hub_threshold=*/0);
     if (!pinned.ok()) {
@@ -483,13 +369,7 @@ int Main(int argc, const char* const argv[]) {
     });
     const StorageMetrics metrics = view.storage_metrics();
     record("pipelined_pinned", seconds, metrics.peak_bytes_mapped);
-    if (metrics.peak_bytes_mapped > budget) {
-      std::fprintf(stderr,
-                   "INVARIANT: peak %llu exceeds the %llu-byte budget\n",
-                   static_cast<unsigned long long>(metrics.peak_bytes_mapped),
-                   static_cast<unsigned long long>(budget));
-      ++failures;
-    }
+    check_peak(metrics.peak_bytes_mapped);
     if (metrics.pinned_bytes == 0 || metrics.pinned_partitions == 0) {
       std::fprintf(stderr, "INVARIANT: nothing pinned under a %llu-byte "
                            "pinned budget\n",
@@ -523,20 +403,15 @@ int Main(int argc, const char* const argv[]) {
     }
   }
 
-  std::printf("\ngather_checksum: %llu  read_path: %s\n",
-              static_cast<unsigned long long>(gather_checksum),
-              std::string(ShardReadPathName(read_path)).c_str());
-  WriteJson(out_path, records, quick, gather_checksum, budget, read_path);
+  std::printf("\ngather_checksum: %llu\n",
+              static_cast<unsigned long long>(gather_checksum));
+  WriteJson(out_path, records, quick, gather_checksum, budget);
   std::filesystem::remove_all(dir);
 
   if (failures != 0) {
     std::fprintf(stderr, "bench_storage: %d invariant violation(s)\n",
                  failures);
     return 1;
-  }
-  if (!check_path.empty()) {
-    return CheckAgainstBaseline(records, gather_checksum, check_path,
-                                tolerance);
   }
   return 0;
 }

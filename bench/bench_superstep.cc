@@ -4,17 +4,13 @@
 // BENCH_superstep.json — one record per (op, shape, threads) with
 // throughput, ns/message, and the measured speedup. Self-contained
 // timing (no external benchmark framework), same JSON and flag shape
-// as bench_kernels so the CI baseline check is shared tooling.
+// as bench_kernels, so tools/report_diff gates both against their
+// checked-in baselines.
 //
 // Usage:
 //   bench_superstep                    full sweep, writes BENCH_superstep.json
 //   bench_superstep --quick            CI smoke: smaller inbox, shorter timing
 //   bench_superstep --out=PATH         write the JSON elsewhere
-//   bench_superstep --check=PATH       diff against a baseline JSON; exits 1
-//                                      when any op's speedup-vs-scalar falls
-//                                      below baseline/(1 + --check-tolerance).
-//                                      Ratios, not absolute seconds: the
-//                                      interleaved oracle cancels host speed.
 //   bench_superstep --threads=LIST     comma-separated thread sweep
 //                                      (default "1,2,8" — fixed so baselines
 //                                      compare like against like)
@@ -407,86 +403,6 @@ void WriteJson(const std::string& path, const std::vector<BenchRecord>& records,
   std::printf("\nwrote %zu records to %s\n", records.size(), path.c_str());
 }
 
-// Minimal field extraction for the exact format WriteJson emits (one
-// record per line) — enough for --check without a JSON dependency.
-struct BaselineRecord {
-  std::string op, shape;
-  int threads = 0;
-  double seconds_per_iter = 0.0;
-  double speedup_vs_reference = 0.0;
-};
-
-std::string ExtractString(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  return end == std::string::npos ? "" : line.substr(begin, end - begin);
-}
-
-double ExtractNumber(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return 0.0;
-  return std::strtod(line.c_str() + at + needle.size(), nullptr);
-}
-
-std::vector<BaselineRecord> LoadBaseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_superstep: cannot read baseline %s\n",
-                 path.c_str());
-    std::exit(2);
-  }
-  std::vector<BaselineRecord> baseline;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("\"op\"") == std::string::npos) continue;
-    BaselineRecord record;
-    record.op = ExtractString(line, "op");
-    record.shape = ExtractString(line, "shape");
-    record.threads = static_cast<int>(ExtractNumber(line, "threads"));
-    record.seconds_per_iter = ExtractNumber(line, "seconds_per_iter");
-    record.speedup_vs_reference = ExtractNumber(line, "speedup_vs_reference");
-    baseline.push_back(record);
-  }
-  return baseline;
-}
-
-int CheckAgainstBaseline(const std::vector<BenchRecord>& records,
-                         const std::string& path, double tolerance) {
-  const std::vector<BaselineRecord> baseline = LoadBaseline(path);
-  int regressions = 0, compared = 0;
-  for (const BenchRecord& r : records) {
-    for (const BaselineRecord& b : baseline) {
-      if (b.op != r.op || b.shape != r.shape || b.threads != r.threads) {
-        continue;
-      }
-      ++compared;
-      // The gate compares speedup-vs-scalar, not absolute seconds: the
-      // oracle is re-timed interleaved with the fast path inside every
-      // row, so the ratio cancels out host speed and bandwidth drift.
-      // A scalar fallback sneaking back in drives the ratio to ~1.0,
-      // which a tolerance well under the baseline ratio still catches.
-      if (b.speedup_vs_reference > 0.0 &&
-          r.speedup_vs_reference <
-              b.speedup_vs_reference / (1.0 + tolerance)) {
-        ++regressions;
-        std::printf("REGRESSION %s %s threads=%d: %.2fx vs scalar, baseline "
-                    "%.2fx (tolerance %.0f%%)\n",
-                    r.op.c_str(), r.shape.c_str(), r.threads,
-                    r.speedup_vs_reference, b.speedup_vs_reference,
-                    tolerance * 100.0);
-      }
-      break;
-    }
-  }
-  std::printf("baseline check: %d rows compared, %d regressions\n", compared,
-              regressions);
-  return regressions == 0 ? 0 : 1;
-}
-
 // The multithreading-is-a-win gate: for every (op, shape) with both a
 // 1-thread row and multi-thread rows, the BEST multi-thread time must
 // not be worse than the 1-thread time by more than `tolerance`. On a
@@ -545,8 +461,6 @@ int Main(int argc, char** argv) {
   }
   const bool quick = flags->GetBool("quick", false);
   const std::string out_path = flags->GetString("out", "BENCH_superstep.json");
-  const std::string check_path = flags->GetString("check", "");
-  const double tolerance = flags->GetDouble("check-tolerance", 0.25);
   const bool scaling_gate = flags->GetBool("scaling-gate", false);
   const double scaling_tolerance = flags->GetDouble("scaling-tolerance", 0.15);
 
@@ -569,8 +483,9 @@ int Main(int argc, char** argv) {
                   ? "available"
                   : PerfCountersUnavailableReason().c_str());
 
-  // The quick sweep reuses the smaller full-sweep inbox so CI --check
-  // compares real rows against the checked-in Release baseline.
+  // The quick sweep reuses the smaller full-sweep inbox so the CI
+  // report_diff gate compares real rows against the checked-in Release
+  // baseline.
   const std::vector<std::int64_t> sizes =
       quick ? std::vector<std::int64_t>{262144}
             : std::vector<std::int64_t>{262144, 1048576};
@@ -588,12 +503,7 @@ int Main(int argc, char** argv) {
 
   WriteJson(out_path, harness.records, quick, harness.thread_set);
 
-  int rc = 0;
-  if (scaling_gate) rc |= CheckScaling(harness.records, scaling_tolerance);
-  if (!check_path.empty()) {
-    rc |= CheckAgainstBaseline(harness.records, check_path, tolerance);
-  }
-  return rc;
+  return scaling_gate ? CheckScaling(harness.records, scaling_tolerance) : 0;
 }
 
 }  // namespace

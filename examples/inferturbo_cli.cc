@@ -267,8 +267,7 @@ int Infer(const FlagParser& flags, const std::string& dir) {
   // still supplies model dims and the accuracy labels.
   // --storage_memory_budget caps resident shard bytes ("512MB", "4GiB").
   // --pipeline_slots sets the streaming pipeline's in-flight window
-  // (2 = double buffering, 0 = demand loads); --read_path forces a read
-  // tier (auto|mmap|pread|direct|uring); --storage_pinned_budget +
+  // (2 = double buffering, 0 = demand loads); --storage_pinned_budget +
   // --pin_hubs keep the hub-heavy shards resident across the sweep.
   const std::string packed = flags.GetString("packed", "");
   Result<InferenceResult> result = Status::Internal("unset");
@@ -289,17 +288,10 @@ int Infer(const FlagParser& flags, const std::string& dir) {
                    pinned_budget.status().ToString().c_str());
       return 1;
     }
-    const Result<ShardReadPath> read_path =
-        ParseShardReadPath(flags.GetString("read_path", "auto"));
-    if (!read_path.ok()) {
-      std::fprintf(stderr, "%s\n", read_path.status().ToString().c_str());
-      return 1;
-    }
     ShardStoreOptions store_options;
     store_options.directory = packed;
     store_options.memory_budget_bytes = *budget;
     store_options.pinned_budget_bytes = *pinned_budget;
-    store_options.read_path = *read_path;
     Result<ShardStore> store = ShardStore::Open(std::move(store_options));
     if (!store.ok()) {
       std::fprintf(stderr, "%s\n", store.status().ToString().c_str());

@@ -25,8 +25,12 @@ Result<InferenceResult> RunInferTurboMapReduce(
     const InferTurboOptions& options);
 
 /// Same pipeline over a GraphView: map instance p streams partition p
-/// of the view (prefetching p+1), so an out-of-core shard-backed view
-/// runs with only ~one partition resident per mapper. Logits are
+/// of the view through a ShardPipeline, whose loader thread fills the
+/// next partitions while mappers compute. An out-of-core shard-backed
+/// view keeps at most memory_budget_bytes + (pool threads + pipeline
+/// slots) × largest shard mapped: the store's LRU honours the budget,
+/// but each running map task and each in-flight pipeline slot leases
+/// one shard the LRU cannot drop (see ShardStoreOptions). Logits are
 /// bit-identical to the in-memory overload because the view presents
 /// partitions in the same HashPartitioner member order with the same
 /// raw feature bytes. Requires options.num_workers ==

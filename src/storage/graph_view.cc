@@ -100,15 +100,6 @@ Result<PartitionSlice> ShardGraphView::AcquirePartition(
   return slice;
 }
 
-void ShardGraphView::PrefetchPartition(std::int64_t partition) const {
-  // Guard at the view boundary: drivers hint p+1 while sweeping, so the
-  // last partition's hint lands out of range and must cost nothing —
-  // not even the store's range check path is worth trusting here, this
-  // is the documented no-op point.
-  if (partition < 0 || partition >= num_partitions()) return;
-  store_.Prefetch(partition);
-}
-
 Result<std::int64_t> ShardGraphView::PinHotSet(
     std::int64_t hub_threshold) const {
   return store_.PinHotSet(hub_threshold);
@@ -119,10 +110,7 @@ Result<Graph> MaterializeGraph(const GraphView& view) {
     return *resident;  // already whole; copy rather than re-gather
   }
   return storage_internal::MaterializeWith(
-      view, [&view](std::int64_t p) {
-        view.PrefetchPartition(p + 1);
-        return view.AcquirePartition(p);
-      });
+      view, [&view](std::int64_t p) { return view.AcquirePartition(p); });
 }
 
 namespace storage_internal {

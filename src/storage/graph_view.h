@@ -61,10 +61,6 @@ class GraphView {
   /// Pins partition p and returns spans over its data.
   virtual Result<PartitionSlice> AcquirePartition(
       std::int64_t partition) const = 0;
-  /// Hints that partition p will be acquired soon. Must be a no-op —
-  /// not even a queued task — for out-of-range partitions, so drivers
-  /// can blindly hint p+1 while walking a sweep.
-  virtual void PrefetchPartition(std::int64_t /*partition*/) const {}
   /// Pins the hub-heavy hot-set resident (out-of-core views configured
   /// with a pinned budget; see ShardStore::PinHotSet). Returns the
   /// number of partitions pinned — 0 for in-memory views and stores
@@ -136,7 +132,6 @@ class ShardGraphView : public GraphView {
 
   Result<PartitionSlice> AcquirePartition(
       std::int64_t partition) const override;
-  void PrefetchPartition(std::int64_t partition) const override;
   Result<std::int64_t> PinHotSet(std::int64_t hub_threshold) const override;
   StorageMetrics storage_metrics() const override {
     return store_.metrics();

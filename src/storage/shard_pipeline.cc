@@ -43,7 +43,7 @@ std::int64_t ShardPipeline::PickTargetLocked() {
   if (best >= 0) return best;
   // Ahead scheduling: the cursor walks 0..P-1 once, skipping partitions
   // already scheduled or consumed, and never runs past the last
-  // partition (out-of-range prefetch was the old scheme's bug).
+  // partition.
   while (next_ahead_ < num_partitions_ &&
          (slots_.count(next_ahead_) != 0 ||
           consumed_.count(next_ahead_) != 0)) {

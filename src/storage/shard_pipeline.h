@@ -52,10 +52,10 @@ struct PipelineStats {
 
 /// Explicit double-buffered streaming over a GraphView: one dedicated
 /// loader thread fills up to `slots` partitions ahead of the consumer,
-/// and Acquire(p) hands off through an explicit ready-future — the
-/// replacement for the demand-Map-races-Prefetch scheme (which queued
-/// fire-and-forget loads on the busy compute pool, so "prefetched"
-/// streaming benchmarked *slower* than plain streaming).
+/// and Acquire(p) hands off through an explicit ready-future. This is
+/// the only I/O-overlap mechanism on the shard path: a dedicated thread
+/// rather than fire-and-forget loads queued on the busy compute pool,
+/// which benchmarked slower than plain streaming.
 ///
 /// Contract: one sweep. Each partition is acquired at most once per
 /// pipeline instance (a second Acquire of the same partition degrades

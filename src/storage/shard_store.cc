@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -32,20 +31,16 @@ MappedShard::~MappedShard() {
 struct ShardStore::State {
   ShardStoreOptions options;
   ShardMeta meta;
-  /// The tier Open() resolved for this store (never kAuto).
-  ShardReadPath read_path = ShardReadPath::kMmap;
 
   mutable std::mutex mu;
   struct CacheEntry {
     ShardLease lease;
     std::uint64_t last_use = 0;
-    bool from_prefetch = false;
     /// Pinned entries belong to the hub hot-set: LRU eviction skips
     /// them, so they stay resident across supersteps.
     bool pinned = false;
   };
   std::unordered_map<std::int64_t, CacheEntry> cache;
-  std::unordered_set<std::int64_t> prefetching;
   std::uint64_t tick = 0;
   /// Hot-set accounting, guarded by `mu`.
   std::uint64_t pinned_bytes = 0;
@@ -66,8 +61,6 @@ struct ShardStoreInternal {
   static Status ValidateShard(MappedShard* shard, bool verify_checksums);
   static Result<std::unique_ptr<MappedShard>> BuildFromHeap(
       std::string bytes, bool verify_checksums);
-  static Result<std::unique_ptr<MappedShard>> BuildFromBuffer(
-      AlignedShardBuffer buffer, bool verify_checksums);
   static Result<std::unique_ptr<MappedShard>> MapFromFile(
       const std::string& path, bool verify_checksums);
 };
@@ -143,18 +136,6 @@ Result<std::unique_ptr<MappedShard>> ShardStoreInternal::BuildFromHeap(
   shard->heap_ = std::move(bytes);
   shard->base_ = shard->heap_.data();
   shard->size_ = shard->heap_.size();
-  INFERTURBO_RETURN_NOT_OK(ValidateShard(shard.get(), verify_checksums));
-  return shard;
-}
-
-/// Aligned-buffer-backed shard: the whole file image arrived through
-/// the direct-I/O read ladder (pread / O_DIRECT / io_uring).
-Result<std::unique_ptr<MappedShard>> ShardStoreInternal::BuildFromBuffer(
-    AlignedShardBuffer buffer, bool verify_checksums) {
-  std::unique_ptr<MappedShard> shard(new MappedShard());
-  shard->buffer_ = std::move(buffer);
-  shard->base_ = shard->buffer_.data();
-  shard->size_ = shard->buffer_.size();
   INFERTURBO_RETURN_NOT_OK(ValidateShard(shard.get(), verify_checksums));
   return shard;
 }
@@ -324,29 +305,33 @@ Result<std::int64_t> HubEdgesForPartition(const std::string& path,
   return hub_edges;
 }
 
-/// Non-injector load through the resolved read tier, with mmap as the
-/// safety net when a buffered/direct/uring read fails mid-job (the
-/// probe passed at Open, but a filesystem can still refuse O_DIRECT on
-/// a particular file, or a ring allocation can hit a limit). Validation
-/// failures are returned as-is — re-reading corrupt bytes through mmap
-/// cannot fix them.
-Result<std::unique_ptr<MappedShard>> LoadFromDisk(
-    const std::shared_ptr<State>& s, const std::string& path) {
-  if (s->read_path != ShardReadPath::kMmap) {
-    Result<AlignedShardBuffer> bytes = ReadFileAligned(path, s->read_path);
-    if (bytes.ok()) {
-      return ShardStoreInternal::BuildFromBuffer(
-          std::move(*bytes), s->options.verify_checksums);
-    }
-    std::lock_guard<std::mutex> lock(s->mu);
-    ++s->counters.read_path_fallbacks;
-  }
+/// Records one completed mmap load (map + validate) into the per-read
+/// latency instruments the run report's `read_latency.mmap` section
+/// reads: histogram "storage.read.mmap.seconds" plus counters ".bytes"
+/// and ".reads".
+void ObserveShardRead(double seconds, std::int64_t bytes) {
+  static Histogram* const latency =
+      GlobalMetrics().GetHistogram("storage.read.mmap.seconds");
+  static Counter* const read_bytes =
+      GlobalMetrics().GetCounter("storage.read.mmap.bytes");
+  static Counter* const reads =
+      GlobalMetrics().GetCounter("storage.read.mmap.reads");
+  latency->Observe(seconds);
+  read_bytes->Add(bytes);
+  reads->Increment();
+}
+
+/// The normal (no fault injector) load: mmap the file and validate it.
+/// Time only when metrics are on, so the zero-perturbation contract
+/// holds: the disabled cost is one relaxed load + branch per load.
+Result<std::unique_ptr<MappedShard>> LoadFromDisk(const State& s,
+                                                  const std::string& path) {
   const bool timed = MetricsEnabled();
   WallTimer timer;
   Result<std::unique_ptr<MappedShard>> mapped =
-      ShardStoreInternal::MapFromFile(path, s->options.verify_checksums);
+      ShardStoreInternal::MapFromFile(path, s.options.verify_checksums);
   if (timed && mapped.ok()) {
-    ObserveShardRead(ShardReadPath::kMmap, timer.ElapsedSeconds(),
+    ObserveShardRead(timer.ElapsedSeconds(),
                      static_cast<std::int64_t>((*mapped)->mapped_bytes()));
   }
   return mapped;
@@ -389,7 +374,7 @@ Result<std::unique_ptr<MappedShard>> LoadShard(
       return Status::IoError(path + ": " + status.message());
     }
   } else {
-    Result<std::unique_ptr<MappedShard>> built = LoadFromDisk(s, path);
+    Result<std::unique_ptr<MappedShard>> built = LoadFromDisk(*s, path);
     if (!built.ok()) {
       note_checksum_failure(built.status());
       return Status::IoError(path + ": " + built.status().message());
@@ -416,8 +401,7 @@ Result<std::unique_ptr<MappedShard>> LoadShard(
 /// outliving the store stays valid.
 ShardLease PublishLocked(const std::shared_ptr<State>& s,
                          std::int64_t partition,
-                         std::unique_ptr<MappedShard> shard,
-                         bool from_prefetch) {
+                         std::unique_ptr<MappedShard> shard) {
   const std::size_t size = shard->mapped_bytes();
   EvictForLocked(*s, size);
   s->bytes_mapped.fetch_add(size, std::memory_order_relaxed);
@@ -448,7 +432,6 @@ ShardLease PublishLocked(const std::shared_ptr<State>& s,
   State::CacheEntry entry;
   entry.lease = lease;
   entry.last_use = ++s->tick;
-  entry.from_prefetch = from_prefetch;
   s->cache[partition] = std::move(entry);
   return lease;
 }
@@ -484,18 +467,6 @@ Result<ShardStore> ShardStore::Open(ShardStoreOptions options) {
   auto state = std::make_shared<State>();
   state->options = std::move(options);
   state->meta = std::move(meta);
-  // Resolve the read tier once per store. An armed fault injector needs
-  // every byte to flow through ReadFileToString, which the heap path
-  // (reported as kMmap provenance) provides; otherwise probe the ladder
-  // against the meta file, which lives on the same filesystem as the
-  // shards.
-  if (state->options.fault_injector != nullptr) {
-    state->read_path = ShardReadPath::kMmap;
-  } else if (state->options.read_path == ShardReadPath::kAuto) {
-    state->read_path = DetectShardReadPath(meta_path);
-  } else {
-    state->read_path = state->options.read_path;
-  }
   return ShardStore(std::move(state));
 }
 
@@ -519,13 +490,6 @@ Result<ShardLease> ShardStore::Map(std::int64_t partition) {
     if (it != s.cache.end()) {
       ++s.counters.cache_hits;
       if (it->second.pinned) ++s.counters.pinned_hits;
-      if (it->second.from_prefetch) {
-        ++s.counters.prefetch_hits;
-        if (MetricsEnabled()) {
-          GlobalMetrics().GetCounter("storage.prefetch_hits")->Increment();
-        }
-        it->second.from_prefetch = false;
-      }
       it->second.last_use = ++s.tick;
       return it->second.lease;
     }
@@ -538,61 +502,12 @@ Result<ShardLease> ShardStore::Map(std::int64_t partition) {
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.cache.find(partition);
   if (it != s.cache.end()) {
-    // A prefetch (or a concurrent Map) beat us; keep the incumbent and
-    // drop our never-charged duplicate — never block on an in-flight
-    // load.
+    // A concurrent Map beat us; keep the incumbent and drop our
+    // never-charged duplicate — never block on an in-flight load.
     it->second.last_use = ++s.tick;
-    if (it->second.from_prefetch) {
-      ++s.counters.prefetch_hits;
-      if (MetricsEnabled()) {
-        GlobalMetrics().GetCounter("storage.prefetch_hits")->Increment();
-      }
-      it->second.from_prefetch = false;
-    }
     return it->second.lease;
   }
-  return PublishLocked(state_, partition, std::move(shard),
-                       /*from_prefetch=*/false);
-}
-
-void ShardStore::Prefetch(std::int64_t partition) {
-  State& s = *state_;
-  if (s.options.prefetch_pool == nullptr || partition < 0 ||
-      partition >= s.meta.num_partitions()) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.cache.count(partition) != 0 ||
-        s.prefetching.count(partition) != 0) {
-      return;
-    }
-    s.prefetching.insert(partition);
-    ++s.counters.prefetch_issued;
-    if (MetricsEnabled()) {
-      GlobalMetrics().GetCounter("storage.prefetch_issued")->Increment();
-    }
-  }
-  // The task holds the State shared_ptr, so a store destroyed while a
-  // prefetch is in flight stays valid until the task finishes.
-  const std::shared_ptr<State> state = state_;
-  s.options.prefetch_pool->Submit([state, partition]() {
-    TraceSpan span("storage/prefetch", partition);
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      EvictForLocked(*state, ExpectedShardBytes(state->meta, partition));
-    }
-    Result<std::unique_ptr<MappedShard>> shard = LoadShard(state, partition);
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->prefetching.erase(partition);
-    ++state->counters.prefetch_completed;
-    // A failed prefetch is dropped silently: the next Map() repeats the
-    // load and surfaces the error on the demand path.
-    if (!shard.ok()) return;
-    if (state->cache.count(partition) != 0) return;  // demand load won
-    PublishLocked(state, partition, std::move(*shard),
-                  /*from_prefetch=*/true);
-  });
+  return PublishLocked(state_, partition, std::move(shard));
 }
 
 Result<std::int64_t> ShardStore::PinHotSet(std::int64_t hub_threshold) {
@@ -653,8 +568,6 @@ Result<std::int64_t> ShardStore::PinHotSet(std::int64_t hub_threshold) {
   return pinned;
 }
 
-ShardReadPath ShardStore::read_path() const { return state_->read_path; }
-
 StorageMetrics ShardStore::metrics() const {
   State& s = *state_;
   StorageMetrics out;
@@ -668,7 +581,6 @@ StorageMetrics ShardStore::metrics() const {
   out.peak_bytes_mapped =
       s.peak_bytes_mapped.load(std::memory_order_relaxed);
   out.unmap_calls = s.unmap_calls.load(std::memory_order_relaxed);
-  out.read_path = static_cast<std::int64_t>(s.read_path);
   return out;
 }
 

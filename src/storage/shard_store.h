@@ -9,18 +9,15 @@
 
 #include "src/common/io_fault.h"
 #include "src/common/result.h"
-#include "src/common/thread_pool.h"
 #include "src/pregel/worker_metrics.h"
 #include "src/storage/shard_format.h"
-#include "src/storage/shard_reader.h"
 
 namespace inferturbo {
 
 /// One validated, resident shard: typed views over its pages. The
-/// backing memory is an mmap'd read-only file, an aligned buffer filled
-/// by the direct-I/O read ladder, or (when a fault injector is active)
-/// a heap copy; either way it is immutable and outlives every span
-/// handed out, for as long as the MappedShard does.
+/// backing memory is an mmap'd read-only file or (when a fault injector
+/// is active) a heap copy; either way it is immutable and outlives
+/// every span handed out, for as long as the MappedShard does.
 class MappedShard {
  public:
   ~MappedShard();
@@ -79,7 +76,6 @@ class MappedShard {
   std::size_t size_ = 0;
   void* mmap_base_ = nullptr;   ///< non-null when backed by mmap
   std::string heap_;            ///< backing bytes on the injector path
-  AlignedShardBuffer buffer_;   ///< backing bytes on the read ladder
 };
 
 /// A lease pins one shard resident. The shard stays mapped — and its
@@ -89,26 +85,23 @@ using ShardLease = std::shared_ptr<const MappedShard>;
 
 struct ShardStoreOptions {
   std::string directory;
-  /// Cap on total resident shard bytes; 0 = unlimited. Before mapping a
-  /// new shard the store evicts least-recently-used cached shards until
-  /// the incoming one fits, so peak_bytes_mapped never exceeds the
-  /// budget as long as callers hold at most the leases they are using.
+  /// Cap on the bytes the store's LRU cache keeps resident; 0 =
+  /// unlimited. Before mapping a new shard the store evicts
+  /// least-recently-used unpinned shards until the incoming one fits.
+  /// Eviction only drops the cache's reference: a shard a caller still
+  /// leases stays mapped (and charged) until that lease drops. So the
+  /// real bound on peak_bytes_mapped is
+  ///   memory_budget_bytes + (concurrent lease holders) × largest shard,
+  /// where a streaming job's lease holders are its map-task pool
+  /// threads plus its ShardPipeline's in-flight slots.
   std::uint64_t memory_budget_bytes = 0;
   /// Verify every page's CRC32 (and CSR offset sanity) on first map.
   bool verify_checksums = true;
-  /// Pool for async Prefetch; nullptr makes Prefetch a no-op.
-  ThreadPool* prefetch_pool = nullptr;
   /// Optional fault injection: when set, shards are read through
-  /// ReadFileToString (heap fallback) so every IoFaultKind applies.
+  /// ReadFileToString into a heap copy (instead of mmap) so every
+  /// IoFaultKind applies, and the read + validate retries per `retry`.
   IoFaultInjector* fault_injector = nullptr;
   IoRetryPolicy retry;
-  /// How shard bytes get resident. kAuto probes the ladder (io_uring →
-  /// O_DIRECT → fadvise-pread → mmap) against the pack's meta file at
-  /// Open(); any other value forces that tier. A forced non-mmap tier
-  /// that fails at load time falls back to mmap for that shard (counted
-  /// in read_path_fallbacks). Ignored while a fault injector is set —
-  /// injected faults need the heap read path.
-  ShardReadPath read_path = ShardReadPath::kAuto;
   /// Budget carved out of memory_budget_bytes for the pinned hub
   /// hot-set (PinHotSet). Pinned shards never cycle through the LRU;
   /// the LRU works the remaining memory_budget_bytes - pinned bytes.
@@ -121,13 +114,12 @@ struct ShardStoreOptions {
 /// MapReduce backend streams graph data from external storage instead
 /// of holding it resident).
 ///
-/// Map(p) returns a lease on partition p, loading + validating the file
+/// Map(p) returns a lease on partition p, mapping + validating the file
 /// on a miss and evicting LRU cached shards first to stay under budget.
-/// Prefetch(p) schedules the same load on the configured pool so the
-/// next partition is resident by the time the pipeline asks for it.
-/// Loads never block on an in-flight prefetch of the same shard — a
-/// duplicate load may race and the loser is dropped — so a slow or
-/// wedged pool can never deadlock a Map() caller.
+/// Overlapping loads with compute is ShardPipeline's job, not the
+/// store's. Concurrent Map() calls for the same missing shard may both
+/// load it; the loser's copy is dropped uncharged, so no caller ever
+/// blocks on another's load.
 ///
 /// Thread-safe; cheap to copy (shared handle to one cache). Corruption
 /// (bad magic, truncation, CRC mismatch, inconsistent counts) surfaces
@@ -143,10 +135,6 @@ class ShardStore {
   /// Returns a lease on partition p, loading it if not resident.
   Result<ShardLease> Map(std::int64_t partition);
 
-  /// Schedules an async load of partition p (no-op without a pool, or
-  /// when p is already resident or being prefetched).
-  void Prefetch(std::int64_t partition);
-
   /// Builds the pinned hub hot-set: ranks partitions by the out-edges
   /// their hub nodes carry (nodes whose out-degree exceeds
   /// `hub_threshold` — the same nodes the activation threshold flags),
@@ -160,10 +148,6 @@ class ShardStore {
   /// partitions pinned; a no-op returning 0 when pinned_budget_bytes
   /// is 0. Call once, before streaming starts; idempotent.
   Result<std::int64_t> PinHotSet(std::int64_t hub_threshold);
-
-  /// The read tier Open() resolved (never kAuto). kMmap whenever a
-  /// fault injector forces the heap path.
-  ShardReadPath read_path() const;
 
   /// Point-in-time snapshot of the store's counters.
   StorageMetrics metrics() const;

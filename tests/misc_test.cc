@@ -261,8 +261,8 @@ TEST(WorkerMetricsTest, AppendStagesMergesStorage) {
   a.storage.bytes_mapped = 100;
   a.storage.peak_bytes_mapped = 400;
   a.storage.map_calls = 3;
-  a.storage.prefetch_issued = 2;
-  a.storage.prefetch_hits = 1;
+  a.storage.cache_hits = 2;
+  a.storage.evictions = 1;
   b.storage.bytes_mapped = 250;
   b.storage.peak_bytes_mapped = 300;
   b.storage.map_calls = 5;
@@ -274,9 +274,8 @@ TEST(WorkerMetricsTest, AppendStagesMergesStorage) {
   EXPECT_EQ(a.storage.bytes_mapped, 250u);
   EXPECT_EQ(a.storage.peak_bytes_mapped, 400u);
   EXPECT_EQ(a.storage.map_calls, 8);
-  EXPECT_EQ(a.storage.prefetch_issued, 2);
-  EXPECT_EQ(a.storage.prefetch_hits, 1);
-  EXPECT_EQ(a.storage.evictions, 2);
+  EXPECT_EQ(a.storage.cache_hits, 2);
+  EXPECT_EQ(a.storage.evictions, 3);
   EXPECT_EQ(a.storage.checksum_failures, 1);
 }
 

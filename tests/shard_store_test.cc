@@ -1,24 +1,21 @@
 // Out-of-core shard store: pack/open round trips, slice fidelity
-// against the source graph, LRU eviction under a memory budget, async
-// prefetch, and corruption (truncation, bit flips, torn writes)
-// surfacing as clean Status errors — exercised against the scripted
-// I/O fault injector.
+// against the source graph, LRU eviction under a memory budget, the
+// two loaders (mmap, and the heap read used while a fault injector is
+// set), and corruption (truncation, bit flips, torn writes) surfacing
+// as clean Status errors — exercised against the scripted I/O fault
+// injector.
 #include "src/storage/shard_store.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/graph/datasets.h"
 #include "src/storage/graph_view.h"
 #include "src/storage/shard_format.h"
-#include "src/storage/shard_reader.h"
 #include "src/storage/shard_writer.h"
 
 namespace inferturbo {
@@ -40,6 +37,21 @@ Dataset MakeDataset(bool edge_features = false) {
   if (edge_features) config.edge_feature_dim = 3;
   config.seed = 29;
   return MakePlantedDataset("shard-store", config);
+}
+
+/// The two loaders' selectors: null picks mmap; an injector picks the
+/// heap read through it (one with no armed rule reads the file
+/// unchanged).
+std::vector<IoFaultInjector*> BothLoaders(ScriptedIoFaultInjector* unarmed) {
+  return {nullptr, unarmed};
+}
+
+Result<ShardStore> OpenWithLoader(const std::string& dir,
+                                  IoFaultInjector* injector) {
+  ShardStoreOptions options;
+  options.directory = dir;
+  options.fault_injector = injector;
+  return ShardStore::Open(std::move(options));
 }
 
 bool BitIdentical(const Graph& a, const Graph& b) {
@@ -328,52 +340,18 @@ TEST(ShardStoreTest, PinnedBudgetAboveMemoryBudgetIsRejected) {
       ShardStore::Open(std::move(options)).status().IsInvalidArgument());
 }
 
-TEST(ShardStoreTest, OutOfRangePrefetchIsANoOp) {
-  const Dataset d = MakeDataset();
-  const std::string dir = FreshDir("shards_pf_range");
-  ShardWriterOptions writer;
-  writer.num_partitions = 4;
-  ASSERT_TRUE(WriteGraphShards(d.graph, dir, writer).ok());
-  ThreadPool pool(2);
-  ShardStoreOptions options;
-  options.directory = dir;
-  options.prefetch_pool = &pool;
-  Result<ShardStore> store = ShardStore::Open(std::move(options));
-  ASSERT_TRUE(store.ok());
-  const ShardGraphView view(std::move(*store));
-
-  // The drivers blindly hint p+1 while sweeping; hints past either end
-  // must not issue anything — not even a queued no-op task.
-  view.PrefetchPartition(-1);
-  view.PrefetchPartition(view.num_partitions());
-  view.PrefetchPartition(view.num_partitions() + 7);
-  EXPECT_EQ(view.storage_metrics().prefetch_issued, 0);
-
-  view.PrefetchPartition(view.num_partitions() - 1);
-  EXPECT_EQ(view.storage_metrics().prefetch_issued, 1);
-}
-
-TEST(ShardStoreTest, ForcedReadPathsAreBitIdentical) {
+TEST(ShardStoreTest, MmapAndHeapLoadersAreBitIdentical) {
   const Dataset d = MakeDataset(/*edge_features=*/true);
-  const std::string dir = FreshDir("shards_read_paths");
+  const std::string dir = FreshDir("shards_loaders");
   ShardWriterOptions writer;
   writer.num_partitions = 5;
   ASSERT_TRUE(WriteGraphShards(d.graph, dir, writer).ok());
 
-  for (const ShardReadPath path :
-       {ShardReadPath::kMmap, ShardReadPath::kPread, ShardReadPath::kDirect,
-        ShardReadPath::kUring, ShardReadPath::kAuto}) {
-    SCOPED_TRACE(ShardReadPathName(path));
-    ShardStoreOptions options;
-    options.directory = dir;
-    options.read_path = path;
-    Result<ShardStore> store = ShardStore::Open(std::move(options));
+  ScriptedIoFaultInjector unarmed;
+  for (IoFaultInjector* injector : BothLoaders(&unarmed)) {
+    SCOPED_TRACE(injector == nullptr ? "mmap" : "heap");
+    Result<ShardStore> store = OpenWithLoader(dir, injector);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    // kAuto resolves to a concrete tier at Open.
-    EXPECT_NE(store->read_path(), ShardReadPath::kAuto);
-    if (path != ShardReadPath::kAuto) {
-      EXPECT_EQ(store->read_path(), path);
-    }
     const ShardGraphView view(std::move(*store));
     const Result<Graph> rebuilt = MaterializeGraph(view);
     ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
@@ -396,35 +374,6 @@ TEST(ShardStoreTest, SecondMapIsACacheHit) {
   EXPECT_EQ(metrics.cache_misses, 1);
   EXPECT_EQ(metrics.cache_hits, 1);
   EXPECT_EQ(metrics.map_calls, 1);
-}
-
-TEST(ShardStoreTest, PrefetchMakesTheNextMapAHit) {
-  const Dataset d = MakeDataset();
-  const std::string dir = FreshDir("shards_prefetch");
-  ShardWriterOptions writer;
-  writer.num_partitions = 4;
-  ASSERT_TRUE(WriteGraphShards(d.graph, dir, writer).ok());
-
-  ThreadPool pool(2);
-  ShardStoreOptions options;
-  options.directory = dir;
-  options.prefetch_pool = &pool;
-  Result<ShardStore> store = ShardStore::Open(std::move(options));
-  ASSERT_TRUE(store.ok());
-
-  store->Prefetch(2);
-  // Wait for the async load to land before demanding the shard.
-  for (int i = 0; i < 2000 && store->metrics().prefetch_completed == 0;
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(store->metrics().prefetch_completed, 1);
-  ASSERT_TRUE(store->Map(2).ok());
-  const StorageMetrics metrics = store->metrics();
-  EXPECT_EQ(metrics.prefetch_issued, 1);
-  EXPECT_EQ(metrics.prefetch_hits, 1);
-  EXPECT_EQ(metrics.cache_hits, 1);
-  EXPECT_EQ(metrics.cache_misses, 0);
 }
 
 TEST(ShardStoreTest, MapOutOfRangeIsInvalidArgument) {
@@ -472,14 +421,16 @@ TEST(ShardStoreTest, TruncatedShardFileIsACleanIoError) {
   const std::uintmax_t size = std::filesystem::file_size(shard_path);
   std::filesystem::resize_file(shard_path, size / 2);
 
-  ShardStoreOptions options;
-  options.directory = dir;
-  Result<ShardStore> store = ShardStore::Open(std::move(options));
-  ASSERT_TRUE(store.ok());  // meta is intact; the damage is per-shard
-  ASSERT_TRUE(store->Map(0).ok());
-  const Result<ShardLease> bad = store->Map(1);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kIoError);
+  ScriptedIoFaultInjector unarmed;
+  for (IoFaultInjector* injector : BothLoaders(&unarmed)) {
+    SCOPED_TRACE(injector == nullptr ? "mmap" : "heap");
+    Result<ShardStore> store = OpenWithLoader(dir, injector);
+    ASSERT_TRUE(store.ok());  // meta is intact; the damage is per-shard
+    ASSERT_TRUE(store->Map(0).ok());
+    const Result<ShardLease> bad = store->Map(1);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kIoError);
+  }
 }
 
 TEST(ShardStoreTest, FlippedPayloadByteFailsTheChecksum) {
@@ -499,15 +450,17 @@ TEST(ShardStoreTest, FlippedPayloadByteFailsTheChecksum) {
   f.write(&byte, 1);
   f.close();
 
-  ShardStoreOptions options;
-  options.directory = dir;
-  Result<ShardStore> store = ShardStore::Open(std::move(options));
-  ASSERT_TRUE(store.ok());
-  const Result<ShardLease> bad = store->Map(0);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kIoError);
-  EXPECT_NE(bad.status().message().find("checksum"), std::string::npos);
-  EXPECT_GT(store->metrics().checksum_failures, 0);
+  ScriptedIoFaultInjector unarmed;
+  for (IoFaultInjector* injector : BothLoaders(&unarmed)) {
+    SCOPED_TRACE(injector == nullptr ? "mmap" : "heap");
+    Result<ShardStore> store = OpenWithLoader(dir, injector);
+    ASSERT_TRUE(store.ok());
+    const Result<ShardLease> bad = store->Map(0);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kIoError);
+    EXPECT_NE(bad.status().message().find("checksum"), std::string::npos);
+    EXPECT_GT(store->metrics().checksum_failures, 0);
+  }
 }
 
 TEST(ShardStoreTest, TransientReadBitFlipIsRetriedToSuccess) {

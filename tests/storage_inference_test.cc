@@ -10,7 +10,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "src/common/thread_pool.h"
 #include "src/graph/datasets.h"
@@ -19,6 +21,7 @@
 #include "src/nn/model.h"
 #include "src/storage/graph_view.h"
 #include "src/storage/shard_format.h"
+#include "src/storage/shard_pipeline.h"
 #include "src/storage/shard_store.h"
 #include "src/storage/shard_writer.h"
 
@@ -64,31 +67,44 @@ std::string PackInto(const Graph& graph, const std::string& name) {
   return dir;
 }
 
+/// On-disk size of each of the pack's kPartitions shards.
+std::vector<std::uint64_t> ShardSizes(const std::string& dir) {
+  std::vector<std::uint64_t> sizes;
+  for (std::int64_t p = 0; p < kPartitions; ++p) {
+    sizes.push_back(std::filesystem::file_size(dir + "/" + ShardFileName(p)));
+  }
+  return sizes;
+}
+
 /// A budget that is genuinely binding — the whole pack minus its
 /// smallest shard, so the store can never hold every partition and
 /// must evict — while leaving ample headroom for the shards that 2
-/// pool workers plus their prefetches pin concurrently.
+/// pool workers plus the pipeline's in-flight slots lease concurrently.
 std::uint64_t BindingBudget(const std::string& dir) {
-  std::uint64_t smallest = UINT64_MAX;
-  std::uint64_t total = 0;
-  for (std::int64_t p = 0; p < kPartitions; ++p) {
-    const std::uint64_t size =
-        std::filesystem::file_size(dir + "/" + ShardFileName(p));
-    smallest = std::min(smallest, size);
-    total += size;
-  }
-  const std::uint64_t budget = total - smallest;
+  const std::vector<std::uint64_t> sizes = ShardSizes(dir);
+  const std::uint64_t total =
+      std::accumulate(sizes.begin(), sizes.end(), std::uint64_t{0});
+  const std::uint64_t budget =
+      total - *std::min_element(sizes.begin(), sizes.end());
   EXPECT_LT(budget, total);
   return budget;
 }
 
+/// The store's documented peak bound: eviction keeps the LRU cache
+/// under the budget, but every concurrent lease holder — a pool thread
+/// running a map task, or a pipeline slot — can pin one more shard the
+/// LRU cannot drop.
+std::uint64_t LeaseBound(std::uint64_t budget, std::uint64_t largest_shard,
+                         int pool_threads, int pipeline_slots) {
+  return budget + static_cast<std::uint64_t>(pool_threads + pipeline_slots) *
+                      largest_shard;
+}
+
 Result<ShardStore> OpenStore(const std::string& dir, std::uint64_t budget,
-                             ThreadPool* pool,
                              std::uint64_t pinned_budget = 0) {
   ShardStoreOptions options;
   options.directory = dir;
   options.memory_budget_bytes = budget;
-  options.prefetch_pool = pool;
   options.pinned_budget_bytes = pinned_budget;
   return ShardStore::Open(std::move(options));
 }
@@ -154,8 +170,7 @@ TEST_P(StorageEquivalenceTest, StreamedRunsAreBitIdenticalToInMemory) {
     for (const StreamMode& mode : kModes) {
       SCOPED_TRACE(mode.name);
       const std::uint64_t pinned_budget = mode.pin ? budget / 2 : 0;
-      Result<ShardStore> store =
-          OpenStore(dir, budget, &pool, pinned_budget);
+      Result<ShardStore> store = OpenStore(dir, budget, pinned_budget);
       ASSERT_TRUE(store.ok()) << store.status().ToString();
       const ShardGraphView view(std::move(*store));
       InferTurboOptions streamed_options = options;
@@ -221,7 +236,7 @@ TEST(StorageInferenceTest, EdgeFeatureModelStreamsBitIdentically) {
             ? RunInferTurboMapReduce(dataset.graph, *model, options)
             : RunInferTurboPregel(dataset.graph, *model, options);
     ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
-    Result<ShardStore> store = OpenStore(dir, BindingBudget(dir), &pool);
+    Result<ShardStore> store = OpenStore(dir, BindingBudget(dir));
     ASSERT_TRUE(store.ok());
     const ShardGraphView view(std::move(*store));
     const Result<InferenceResult> streamed =
@@ -237,7 +252,7 @@ TEST(StorageInferenceTest, MapReduceRejectsWorkerPartitionMismatch) {
   const std::unique_ptr<GnnModel> model =
       MakeModelFor("sage", dataset.graph);
   const std::string dir = PackInto(dataset.graph, "storage_mismatch");
-  Result<ShardStore> store = OpenStore(dir, 0, nullptr);
+  Result<ShardStore> store = OpenStore(dir, 0);
   ASSERT_TRUE(store.ok());
   const ShardGraphView view(std::move(*store));
 
@@ -256,7 +271,7 @@ TEST(StorageInferenceTest, StreamedPipelineActuallyRuns) {
       MakeModelFor("sage", dataset.graph);
   const std::string dir = PackInto(dataset.graph, "storage_pf");
   ThreadPool pool(2);
-  Result<ShardStore> store = OpenStore(dir, BindingBudget(dir), &pool);
+  Result<ShardStore> store = OpenStore(dir, BindingBudget(dir));
   ASSERT_TRUE(store.ok());
   const ShardGraphView view(std::move(*store));
 
@@ -266,9 +281,6 @@ TEST(StorageInferenceTest, StreamedPipelineActuallyRuns) {
   const Result<InferenceResult> streamed =
       RunInferTurboMapReduce(view, *model, options);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  // The map stage no longer issues fire-and-forget prefetches; every
-  // shard load goes through the pipeline's loader thread instead.
-  EXPECT_EQ(streamed->metrics.storage.prefetch_issued, 0);
   // Each consumed load charges its I/O time either to consumer wait or
   // to hidden overlap, so the two together are strictly positive.
   const StorageMetrics storage = streamed->metrics.storage;
@@ -325,7 +337,7 @@ TEST(StorageInferenceTest, FourTimesBudgetStreamsBitIdentically) {
             : RunInferTurboPregel(dataset.graph, *model, options);
     ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
 
-    Result<ShardStore> store = OpenStore(dir, budget, &pool);
+    Result<ShardStore> store = OpenStore(dir, budget);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     const ShardGraphView view(std::move(*store));
     const Result<InferenceResult> streamed =
@@ -340,6 +352,83 @@ TEST(StorageInferenceTest, FourTimesBudgetStreamsBitIdentically) {
     EXPECT_LE(storage.peak_bytes_mapped, budget);
     EXPECT_EQ(storage.checksum_failures, 0);
     EXPECT_GT(storage.evictions, 0);
+  }
+}
+
+// Eviction drops only the cache's reference, so two shards leased at
+// once — as two map tasks on a pool hold them — stay mapped together
+// even when the budget covers one shard. Deterministic: the consumer
+// holds both slices before reading the peak.
+TEST(StorageInferenceTest, ConcurrentLeasesExceedTheBudgetUpToTheBound) {
+  const Dataset dataset = SkewedDataset();
+  const std::string dir = PackInto(dataset.graph, "storage_leases");
+  const std::vector<std::uint64_t> sizes = ShardSizes(dir);
+  const std::uint64_t largest = *std::max_element(sizes.begin(), sizes.end());
+  // Budget = shard 0 alone, so holding shards 0 and 1 must overshoot it.
+  const std::uint64_t budget = sizes[0];
+  Result<ShardStore> store = OpenStore(dir, budget);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const ShardGraphView view(std::move(*store));
+  constexpr int kSlots = 2;
+  std::uint64_t peak = 0;
+  {
+    ShardPipeline pipeline(view, ShardPipelineOptions{kSlots});
+    const Result<PartitionSlice> first = pipeline.Acquire(0);
+    const Result<PartitionSlice> second = pipeline.Acquire(1);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    peak = view.storage_metrics().peak_bytes_mapped;
+  }
+  EXPECT_GT(peak, budget);
+  EXPECT_LE(peak, LeaseBound(budget, largest, /*pool_threads=*/2, kSlots));
+}
+
+// A budget of the smallest shard cannot hold the shards that
+// concurrent map tasks and pipeline slots lease, so the cache budget
+// alone does not bound the peak. The documented bound — budget + (pool threads +
+// pipeline slots) × largest shard — must still hold, and the logits
+// must stay bit-identical.
+TEST(StorageInferenceTest, TightBudgetPeakStaysUnderLeaseBound) {
+  const Dataset dataset = SkewedDataset();
+  const std::unique_ptr<GnnModel> model =
+      MakeModelFor("sage", dataset.graph);
+  const std::string dir = PackInto(dataset.graph, "storage_tight");
+  const std::vector<std::uint64_t> sizes = ShardSizes(dir);
+  const std::uint64_t largest = *std::max_element(sizes.begin(), sizes.end());
+  const std::uint64_t budget = *std::min_element(sizes.begin(), sizes.end());
+  constexpr int kPoolThreads = 2;
+  ThreadPool pool(kPoolThreads);
+
+  InferTurboOptions options;
+  options.num_workers = kPartitions;
+  options.pool = &pool;
+
+  for (const bool use_mapreduce : {false, true}) {
+    SCOPED_TRACE(use_mapreduce ? "mapreduce" : "pregel");
+    const Result<InferenceResult> in_memory =
+        use_mapreduce
+            ? RunInferTurboMapReduce(dataset.graph, *model, options)
+            : RunInferTurboPregel(dataset.graph, *model, options);
+    ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+    for (const int slots : {0, 2}) {
+      SCOPED_TRACE(slots);
+      Result<ShardStore> store = OpenStore(dir, budget);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      const ShardGraphView view(std::move(*store));
+      InferTurboOptions streamed_options = options;
+      streamed_options.storage_pipeline_slots = slots;
+      const Result<InferenceResult> streamed =
+          use_mapreduce
+              ? RunInferTurboMapReduce(view, *model, streamed_options)
+              : RunInferTurboPregel(view, *model, streamed_options);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+
+      EXPECT_TRUE(streamed->logits.ApproxEquals(in_memory->logits, 0.0f));
+      const StorageMetrics storage = streamed->metrics.storage;
+      EXPECT_GT(storage.evictions, 0);
+      EXPECT_LE(storage.peak_bytes_mapped,
+                LeaseBound(budget, largest, kPoolThreads, slots));
+    }
   }
 }
 
